@@ -7,7 +7,7 @@ both backends across an edge-density sweep, reporting wall-clock
 (``perf_counter``) *and* the simulated SIMT cycles each pass is charged.
 
 Part 2 times whole dense root-task populations from the dataset registry
-through the sequential node-buffer loop vs. the cross-task lockstep
+through the sequential node-buffer loop vs. the cross-task batched
 runner (:func:`repro.core.batch.run_batch`), asserting on the way that
 both paths produce identical simulated-cycle ``Counters`` — batching is
 a wall-clock-only optimization by design (DESIGN.md §10).
@@ -126,7 +126,7 @@ def _null_sink(left, right) -> None:
 
 
 def run_batch_case(code: str, scale: float) -> dict:
-    """Sequential vs. lockstep-batched execution of one registry graph's
+    """Sequential vs. batched execution of one registry graph's
     root-task population (batch-eligible tasks only drive the batched
     side; the rest run sequentially in both)."""
     prepared = prepare(registry.load(code, scale=scale), order="degree")

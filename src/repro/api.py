@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import os
+from operator import attrgetter
 
 import numpy as np
 
@@ -256,8 +257,8 @@ def enumerate_maximal_bicliques(
             # This function's contract is the complete set; an explicit
             # partial must surface as an error that still carries it.
             raise DegradedShardRun(report)
-        for b in report.bicliques:
-            collector(b.left, b.right)
+        # The merged report already holds canonical Bicliques.
+        collector.bicliques.extend(report.bicliques)
     elif algorithm == "gmbe":
         gmbe_gpu(
             graph,
@@ -278,7 +279,9 @@ def enumerate_maximal_bicliques(
         for b in collector.bicliques
         if len(b.left) >= min_left and len(b.right) >= min_right
     ]
-    out.sort()
+    # Same order as Biclique's generated comparison, without a Python
+    # __lt__ call per comparison.
+    out.sort(key=attrgetter("left", "right"))
     if as_store:
         from .store import StoredResultSet
 

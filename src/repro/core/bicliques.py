@@ -28,6 +28,14 @@ __all__ = [
 ]
 
 
+def _id_tuple(ids: Iterable[int]) -> tuple[int, ...]:
+    """Sorted, duplicate-free tuple of Python ints.  Integer arrays take
+    ``.tolist()``, which yields Python ints in one C call."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return tuple(sorted(set(ids.tolist())))
+    return tuple(sorted({int(x) for x in ids}))
+
+
 @dataclass(frozen=True, order=True)
 class Biclique:
     """A biclique ``(L ⊆ U, R ⊆ V)`` with hashable sorted tuples."""
@@ -37,8 +45,7 @@ class Biclique:
 
     @staticmethod
     def make(left: Iterable[int], right: Iterable[int]) -> "Biclique":
-        return Biclique(tuple(sorted({int(x) for x in left})),
-                        tuple(sorted({int(x) for x in right})))
+        return Biclique(_id_tuple(left), _id_tuple(right))
 
     @property
     def n_vertices(self) -> int:
@@ -78,7 +85,7 @@ class BicliqueCollector:
         self.bicliques: list[Biclique] = []
 
     def __call__(self, left: np.ndarray, right: np.ndarray) -> None:
-        self.bicliques.append(Biclique.make(left, right))
+        self.bicliques.append(Biclique(_id_tuple(left), _id_tuple(right)))
 
     @property
     def count(self) -> int:

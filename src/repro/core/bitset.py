@@ -46,6 +46,7 @@ __all__ = [
     "resolve_backend",
     "test_bits",
     "to_sorted",
+    "unpack_rows",
 ]
 
 #: Bits per packed word (one ``uint64``).
@@ -95,6 +96,14 @@ def to_sorted(words: np.ndarray, dtype=np.int64) -> np.ndarray:
     u8 = words if _LITTLE else words.byteswap()
     bits = np.unpackbits(u8.view(np.uint8), bitorder="little")
     return np.nonzero(bits)[0].astype(dtype, copy=False)
+
+
+def unpack_rows(matrix: np.ndarray) -> np.ndarray:
+    """Unpack a ``(rows, n_words)`` word matrix into a ``(rows,
+    n_words·64)`` 0/1 ``uint8`` matrix: bit ``i`` of row ``j`` lands at
+    ``[j, i]``, so ``np.nonzero`` yields every row's sorted positions."""
+    u8 = np.ascontiguousarray(matrix if _LITTLE else matrix.byteswap())
+    return np.unpackbits(u8.view(np.uint8), axis=1, bitorder="little")
 
 
 def and_(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -57,10 +57,13 @@ class GMBEConfig:
         ``SimReport.tasks_lost``).  Irrelevant to fault-free runs.
     batch_tasks:
         Cross-task batched execution of dense (bitset-backend) tasks
-        (:mod:`repro.core.batch`): ``"off"`` runs every task through the
-        sequential node-buffer loop, ``"auto"`` groups up to a default
-        number of same-depth dense tasks per lockstep round, and a
-        positive int caps the group size explicitly.  Batching is a pure
+        (:mod:`repro.core.batch`).  The value is the *pool size*: how
+        many same-depth dense tasks one batch gathers and streams through
+        the runner's fixed lanes (:data:`repro.core.batch.LANES`), a
+        lane taking the next pooled task as soon as its task finishes.
+        ``"off"`` runs every task through the sequential node-buffer
+        loop, ``"auto"`` gathers a default pool of 128, and a positive
+        int sets the pool size explicitly.  Batching is a pure
         wall-clock optimization: the enumerated biclique set, per-task
         ``Counters`` charges, simulated cycles, checkpoints, and fault
         behaviour are bit-identical to ``"off"`` (DESIGN.md §10).

@@ -40,6 +40,7 @@ from ..core import sets
 from ..core.batch import (
     BatchMember,
     BatchStats,
+    LANES,
     batch_gamma_matches,
     run_batch,
 )
@@ -109,13 +110,19 @@ def _discard_sink(left, right) -> None:
     """Sink for re-executed tasks: emissions are known duplicates."""
 
 
-#: Padded-cell budget for one stacked batch: caps both the scope matrix
-#: (``k·S_max·W_max`` words) and the per-depth stacks (``k·D_max·C_max``
-#: cells) so an outlier task cannot blow the rectangular padding up.
+#: Padded-cell budget for one batch's lane state: caps both the scope
+#: matrix (``lanes·S_max·W_max`` words) and the per-depth stacks
+#: (``lanes·D_max·C_max`` cells) so an outlier task cannot blow the
+#: rectangular padding up.  ``lanes`` is ``min(pool, LANES)``.
 _BATCH_CELL_CAP = 1 << 21
 
-#: Batch size used by ``batch_tasks="auto"``.
-_AUTO_BATCH = 32
+#: Pool size used by ``batch_tasks="auto"``; :func:`run_batch` streams
+#: the pool through its ``LANES`` lanes.
+_AUTO_BATCH = 128
+
+#: Most root tasks the batch gatherer holds built ahead of the shared
+#: counter (bounds the universes kept alive by the lookahead).
+_MAX_LOOKAHEAD = 512
 
 
 @dataclass
@@ -553,9 +560,9 @@ def gmbe_gpu(
 
     # ------------------------------------------------------------------
     # Cross-task batched execution (DESIGN.md §10).  Compatible dense
-    # tasks — queued siblings plus look-ahead roots — are *peeked*, their
-    # outcomes computed in one vectorized lockstep pass, and the results
-    # cached per lineage.  Emissions, counter merges, and cycles are only
+    # tasks — queued siblings plus look-ahead roots — are *peeked* into a
+    # pool, their outcomes computed by one lane-refilling batched run,
+    # and the results cached per lineage.  Emissions, counter merges, and cycles are only
     # delivered when each task's own execute() event fires, so the
     # simulated schedule, checkpoints, and fault interleavings are
     # bit-identical to batch_tasks="off".
@@ -592,7 +599,7 @@ def gmbe_gpu(
             wmax = max(dims[1], tu.n_words)
             cmax = max(dims[2], len(t.cands), 1)
             dmax = max(dims[3], min(len(t.left), len(t.cands)) + 2)
-            kk = len(members) + 1
+            kk = min(len(members) + 1, LANES)
             if (
                 kk * smax * wmax > _BATCH_CELL_CAP
                 or kk * dmax * cmax > _BATCH_CELL_CAP
@@ -616,13 +623,11 @@ def gmbe_gpu(
                     and _batch_eligible(t)
                 ):
                     try_add(t)
-            builds = 0
             while (
                 len(members) < batch_limit
                 and build_cursor[0] < g.n_v
-                and builds < 8 * batch_limit
+                and len(lookahead) < _MAX_LOOKAHEAD
             ):
-                builds += 1
                 t = _build_next_root()
                 if t is not None and _batch_eligible(t):
                     try_add(t)

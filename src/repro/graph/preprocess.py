@@ -15,7 +15,7 @@ input labeling if they need to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,13 +55,28 @@ class PreparedGraph:
     swapped: bool
     v_original: np.ndarray
     u_original: np.ndarray
+    #: ``u_original`` is the identity, so U ids need no mapping
+    u_identity: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "u_identity",
+            np.array_equal(self.u_original, np.arange(len(self.u_original))),
+        )
 
     def biclique_to_input_labels(
         self, left: np.ndarray, right: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Map a biclique ``(L ⊆ U, R ⊆ V)`` of the prepared graph back to
-        the input labeling, returning ``(input_U_side, input_V_side)``."""
-        l_orig = np.sort(self.u_original[np.asarray(left, dtype=np.int64)])
+        the input labeling, returning ``(input_U_side, input_V_side)``.
+
+        ``left`` is sorted, as every sink receives it; with identity U
+        labels it is returned as is, without a gather or a sort."""
+        if self.u_identity:
+            l_orig = np.asarray(left, dtype=np.int64)
+        else:
+            l_orig = np.sort(self.u_original[np.asarray(left, dtype=np.int64)])
         r_orig = np.sort(self.v_original[np.asarray(right, dtype=np.int64)])
         if self.swapped:
             return r_orig, l_orig

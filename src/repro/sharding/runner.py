@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import signal
 import threading
+from operator import attrgetter
 from dataclasses import dataclass, field
 
 from ..core.bicliques import Biclique, BicliqueCollector, Counters
@@ -218,7 +219,9 @@ class ShardRunner:
                 registry.histogram("shard.sim_seconds").record(
                     result.sim_time
                 )
-        bicliques = sorted(collector.bicliques)
+        bicliques = sorted(
+            collector.bicliques, key=attrgetter("left", "right")
+        )
         return ShardResult(
             shard_id=self.shard_id,
             n_shards=self.plan.n_shards,

@@ -7,7 +7,7 @@ biclique set, not the simulated-cycle ``Counters``, not the schedule
 tests pin that contract at three levels:
 
 1. the numpy primitives in :mod:`repro.core.batch` against plain loops;
-2. the lockstep runner :func:`run_batch` against the sequential
+2. the lane-refilling runner :func:`run_batch` against the sequential
    node-buffer walk, exact counters and exact emissions;
 3. the full kernel with ``batch_tasks`` off vs. on, across every
    registry graph and the execution knobs, plus checkpoint halt/resume,
@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch_mod
 import repro.gmbe.kernel as kernel_mod
 from repro.core.batch import (
+    LANES,
     BatchMember,
     BatchStats,
     batch_gamma_matches,
@@ -41,6 +43,7 @@ from repro.datasets import registry
 from repro.gmbe import GMBEConfig, gmbe_gpu
 from repro.gmbe.host import run_task_with_node_buffer
 from repro.graph import BipartiteGraph, random_bipartite
+from repro.graph.generators import add_dense_block
 from repro.graph.preprocess import prepare
 
 
@@ -128,7 +131,7 @@ class TestPrimitives:
 
 
 # ---------------------------------------------------------------------------
-# 2. lockstep runner vs. the sequential node-buffer walk
+# 2. batched runner vs. the sequential node-buffer walk
 # ---------------------------------------------------------------------------
 
 
@@ -225,6 +228,118 @@ class TestRunBatchEquivalence:
         assert vars(c_bat) == vars(c_seq)
 
 
+def _hub_graph():
+    """Sparse graph plus a dense hub block: root subtrees of very uneven
+    size, as on the skewed EE-like inputs."""
+    g = random_bipartite(70, 110, 0.05, seed=3)
+    return add_dense_block(g, 26, 34, 0.55, seed=4)
+
+
+def _wide_hub_graph():
+    """A hub block over more than 64 U vertices: pools mix one- and
+    two-word universes."""
+    g = random_bipartite(200, 60, 0.04, seed=5)
+    return add_dense_block(g, 150, 14, 0.6, seed=6)
+
+
+def _hub_root_tasks(make_graph=_hub_graph):
+    """Every bitset root task of a prepared hub graph, including the
+    ones with no candidates (run_batch must skip those untouched)."""
+    g = prepare(make_graph()).graph
+    counter = LocalCounter(g)
+    tasks = [
+        build_root_task(g, counter, v, None, backend="bitset")
+        for v in range(g.n_v)
+    ]
+    tasks = [t for t in tasks if t is not None and t.universe is not None]
+    return g, counter, tasks
+
+
+def _per_task_sequential(g, counter, tasks, *, prune):
+    out = []
+    for t in tasks:
+        c, emitted = Counters(), []
+        run_task_with_node_buffer(
+            g, counter, t,
+            lambda L, R: emitted.append((L.tolist(), R.tolist())),
+            c, prune=prune,
+        )
+        out.append((vars(c), emitted))
+    return out
+
+
+def _per_task_batched(tasks, *, prune, stats=None):
+    counters = [Counters() for _ in tasks]
+    emitted = [[] for _ in tasks]
+    run_batch(
+        [
+            BatchMember(
+                universe=t.universe, left=t.left, right=t.right,
+                cands=t.cands, counts=t.counts, counters=c,
+                sink=lambda L, R, e=e: e.append((L.tolist(), R.tolist())),
+            )
+            for t, c, e in zip(tasks, counters, emitted)
+        ],
+        prune=prune,
+        stats=stats,
+    )
+    return [(vars(c), e) for c, e in zip(counters, emitted)]
+
+
+class TestLaneRefill:
+    """More members than lanes: finished lanes take waiting members, and
+    every member still sees exactly its sequential walk."""
+
+    @pytest.mark.parametrize("make_graph", [_hub_graph, _wide_hub_graph])
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("lanes", [3, LANES])
+    def test_per_member_emissions_and_counters(
+        self, monkeypatch, make_graph, prune, lanes
+    ):
+        g, counter, tasks = _hub_root_tasks(make_graph)
+        assert any(len(t.cands) == 0 for t in tasks)
+        sizes = sorted(len(t.cands) for t in tasks if len(t.cands))
+        assert sizes[-1] >= 8 * sizes[0]  # skewed member sizes
+        pool = (tasks * 2)[: LANES + 8]
+        assert LANES >= lanes
+        monkeypatch.setattr(batch_mod, "LANES", lanes)
+        expect = _per_task_sequential(g, counter, pool, prune=prune)
+        stats = BatchStats()
+        got = _per_task_batched(pool, prune=prune, stats=stats)
+        # per member, in traversal order — not merely the same multiset
+        assert got == expect
+        assert max(stats.tasks_per_round) == lanes
+        assert len(stats.tasks_per_round) == stats.rounds
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_single_member_and_empty_members(self, prune):
+        g, counter, tasks = _hub_root_tasks()
+        big = max(tasks, key=lambda t: len(t.cands))
+        empty = [t for t in tasks if not len(t.cands)]
+        for pool in ([big], empty + [big] + empty, empty):
+            got = _per_task_batched(pool, prune=prune)
+            assert got == _per_task_sequential(g, counter, pool, prune=prune)
+
+    def test_emitted_dtypes_match_sequential(self):
+        g, counter, tasks = _hub_root_tasks()
+        dtypes = set()
+        run_batch([
+            BatchMember(
+                universe=t.universe, left=t.left, right=t.right,
+                cands=t.cands, counts=t.counts, counters=Counters(),
+                sink=lambda L, R: dtypes.add((L.dtype, R.dtype)),
+            )
+            for t in tasks
+        ])
+        seq = set()
+        for t in tasks:
+            run_task_with_node_buffer(
+                g, counter, t, lambda L, R: seq.add((L.dtype, R.dtype)),
+                Counters(),
+            )
+        assert dtypes == seq
+
+
 # ---------------------------------------------------------------------------
 # 3. full kernel: batch_tasks off vs. on
 # ---------------------------------------------------------------------------
@@ -256,6 +371,17 @@ class TestKernelEquivalence:
             assert e_on == e_off
             assert vars(r_on.counters) == vars(r_off.counters)
             assert r_on.sim_time == r_off.sim_time
+
+    def test_hub_block_pool_sizes_bit_identical(self):
+        g = _hub_graph()
+        r_off, e_off = _enumerate(g, config=GMBEConfig(batch_tasks="off"))
+        for batch_tasks in (1, 32, 256, "auto"):
+            r_on, e_on = _enumerate(
+                g, config=GMBEConfig(batch_tasks=batch_tasks)
+            )
+            assert e_on == e_off, batch_tasks
+            assert vars(r_on.counters) == vars(r_off.counters), batch_tasks
+            assert r_on.sim_time == r_off.sim_time, batch_tasks
 
     @pytest.mark.parametrize("batch_tasks", [1, 2, 7, 64])
     def test_explicit_batch_sizes(self, batch_tasks):

@@ -34,6 +34,40 @@ class TestBiclique:
     def test_ordering_defined(self):
         assert sorted([Biclique.make([2], [1]), Biclique.make([1], [2])])
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+    def test_make_array_fast_path_matches_iterable_path(self, dtype):
+        cases = [
+            ([5, 1, 3], [9, 2]),  # unsorted
+            ([4, 4, 1, 1, 7], [3, 3, 3]),  # duplicated
+            ([0], []),  # empty side
+        ]
+        for left, right in cases:
+            got = Biclique.make(
+                np.array(left, dtype=dtype), np.array(right, dtype=dtype)
+            )
+            want = Biclique.make(list(left), list(right))
+            assert got == want
+            assert all(type(x) is int for x in got.left + got.right)
+
+    def test_collector_array_fast_path_matches_make(self):
+        c = BicliqueCollector()
+        left = np.array([7, 2, 2, 5], dtype=np.int32)
+        right = np.array([3, 1], dtype=np.int64)
+        c(left, right)
+        assert c.bicliques == [Biclique.make([7, 2, 2, 5], [3, 1])]
+        assert c.bicliques[0].left == (2, 5, 7)
+
+    def test_order_key_matches_generated_comparison(self):
+        rng = np.random.default_rng(0)
+        bs = [
+            Biclique.make(
+                rng.integers(0, 6, size=rng.integers(1, 4)),
+                rng.integers(0, 6, size=rng.integers(1, 4)),
+            )
+            for _ in range(60)
+        ]
+        assert sorted(bs) == sorted(bs, key=lambda b: (b.left, b.right))
+
 
 class TestSinks:
     def test_counter_tracks_maxima(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import BipartiteGraph, degree_ascending_order, prepare, random_bipartite
+from repro.graph.preprocess import PreparedGraph
 
 
 class TestSideSelection:
@@ -64,6 +65,18 @@ class TestLabelMapping:
         l_in, r_in = p.biclique_to_input_labels(left, right)
         assert l_in.tolist() == [0, 1]
         assert r_in.tolist() == [int(p.v_original[2])]
+
+    def test_biclique_to_input_labels_permuted_u(self, paper_graph):
+        p = prepare(paper_graph)
+        assert p.u_identity
+        perm = np.arange(p.graph.n_u)[::-1].copy()
+        q = PreparedGraph(
+            graph=p.graph, swapped=False, v_original=p.v_original,
+            u_original=perm,
+        )
+        assert not q.u_identity
+        l_in, _ = q.biclique_to_input_labels(np.array([0, 1]), np.array([2]))
+        assert l_in.tolist() == sorted(perm[[0, 1]].tolist())
 
     def test_biclique_to_input_labels_swapped(self):
         g = BipartiteGraph.from_edges(2, 4, [(0, v) for v in range(4)] + [(1, 0)])

@@ -1,5 +1,8 @@
 """Tests for the two-level task-queue model."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.gpusim import TwoLevelTaskQueue
@@ -112,4 +115,69 @@ class TestStats:
         q.push(1, 0.0, "b")
         drained = q.drain_all()
         assert sorted(drained) == ["a", "b", "spilled"]
+        assert len(q) == 0
+
+
+class _ScanningQueue(TwoLevelTaskQueue):
+    """Reference ``pop_earliest`` that scans every SM-local queue on an
+    idle pull, with no count to exit early."""
+
+    def pop_earliest(self, sm):
+        local = self._local[sm]
+        if local and (not self._global or local[0][0] <= self._global[0][0]):
+            avail, _, payload = heapq.heappop(local)
+            self._n_local -= 1
+            self.stats.local_dequeues += 1
+            return payload, avail, "local"
+        if self._global:
+            avail, _, payload = heapq.heappop(self._global)
+            self.stats.global_dequeues += 1
+            return payload, avail, "global"
+        candidates = [(q[0][0], i) for i, q in enumerate(self._local) if q]
+        if not candidates:
+            return None
+        _, owner = min(candidates)
+        avail, _, payload = heapq.heappop(self._local[owner])
+        self._n_local -= 1
+        self.stats.global_dequeues += 1
+        self.stats.spills += 1
+        return payload, avail, "global"
+
+
+class TestPopEarliestEquivalence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_ops_match_scanning_reference(self, seed):
+        rng = random.Random(seed)
+        fast = TwoLevelTaskQueue(4, local_capacity=2)
+        ref = _ScanningQueue(4, local_capacity=2)
+        for step in range(400):
+            op = rng.random()
+            sm = rng.randrange(4)
+            if op < 0.4:
+                avail = float(rng.randrange(20))
+                for q in (fast, ref):
+                    q.push(sm, avail, step)
+            elif op < 0.5:
+                avail = float(rng.randrange(20))
+                for q in (fast, ref):
+                    q.requeue(avail, step)
+            elif op < 0.6:
+                now = float(rng.randrange(20))
+                assert fast.pop_ready(sm, now) == ref.pop_ready(sm, now)
+            elif op < 0.63:
+                assert fast.drain_sm(sm) == ref.drain_sm(sm)
+            elif op < 0.64:
+                assert fast.drain_all() == ref.drain_all()
+            else:
+                assert fast.pop_earliest(sm) == ref.pop_earliest(sm)
+            assert fast.stats == ref.stats
+            assert len(fast) == len(ref)
+
+    def test_idle_pull_on_empty_queues_moves_no_stats(self):
+        q = TwoLevelTaskQueue(108)
+        q.push(3, 1.0, "x")
+        assert q.pop_earliest(3)[0] == "x"
+        before = (q.stats.local_dequeues, q.stats.global_dequeues)
+        assert q.pop_earliest(0) is None
+        assert (q.stats.local_dequeues, q.stats.global_dequeues) == before
         assert len(q) == 0
